@@ -1,5 +1,13 @@
 #include "core/kernel_channel.h"
 
+#include <sys/socket.h>
+#include <sys/uio.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <vector>
+
 #include "core/region_guard.h"
 #include "obs/metrics.h"
 
@@ -77,21 +85,21 @@ Result<MemoryRegion> KernelChannelReceiver::ReceiveInto(Shim& target,
                                                         CopyMode mode,
                                                         const RegionPlacer* place) {
   timing_ = {};
-  const auto place_region = [&](uint64_t length) -> Result<MemoryRegion> {
-    if (length > UINT32_MAX) {
-      return InvalidArgumentError("frame exceeds 32-bit guest memory");
-    }
-    if (place != nullptr) return (*place)(static_cast<uint32_t>(length));
-    return target.PrepareInput(static_cast<uint32_t>(length));
-  };
-  MemoryRegion delivered;
-  // Reclaims a freshly placed region on any failure between placement and
-  // hand-off (a frame read dying mid-body, a rejected guest write) — the
-  // target instance outlives the failed transfer, so the region must not
-  // stay allocated. Placer-provided regions (fan-in slices) belong to the
-  // caller and are never released here.
-  RegionGuard guard;
   if (mode == CopyMode::kDirectGuest) {
+    const auto place_region = [&](uint64_t length) -> Result<MemoryRegion> {
+      if (length > UINT32_MAX) {
+        return InvalidArgumentError("frame exceeds 32-bit guest memory");
+      }
+      if (place != nullptr) return (*place)(static_cast<uint32_t>(length));
+      return target.PrepareInput(static_cast<uint32_t>(length));
+    };
+    MemoryRegion delivered;
+    // Reclaims a freshly placed region on any failure between placement and
+    // hand-off (a frame read dying mid-body, a rejected guest write) — the
+    // target instance outlives the failed transfer, so the region must not
+    // stay allocated. Placer-provided regions (fan-in slices) belong to the
+    // caller and are never released here.
+    RegionGuard guard;
     const Stopwatch transfer_timer;
     Nanos alloc_time{0};
     RR_RETURN_IF_ERROR(serde::ReadFrameInto(
@@ -105,18 +113,36 @@ Result<MemoryRegion> KernelChannelReceiver::ReceiveInto(Shim& target,
         }));
     timing_.wasm_io = alloc_time;
     timing_.transfer = transfer_timer.Elapsed() - alloc_time;
-  } else {
-    // Paper path: kernel buffer -> shim buffer (transfer), then
-    // allocate_memory + write_memory_host into the VM (Wasm VM I/O).
-    const Stopwatch transfer_timer;
-    RR_ASSIGN_OR_RETURN(const Bytes staged, serde::ReadFrame(conn_));
-    timing_.transfer = transfer_timer.Elapsed();
-    const Stopwatch io_timer;
-    RR_ASSIGN_OR_RETURN(delivered, place_region(staged.size()));
-    if (place == nullptr) guard = RegionGuard(&target, delivered);
-    RR_RETURN_IF_ERROR(target.data().write_memory_host(staged, delivered.address));
-    timing_.wasm_io = io_timer.Elapsed();
+    bytes_received_ += delivered.length;
+    KernelBytesReceived().Inc(delivered.length);
+    guard.Dismiss();
+    return delivered;
   }
+  // Paper path: kernel buffer -> shim buffer (transfer), then
+  // allocate_memory + write_memory_host into the VM (Wasm VM I/O).
+  const Stopwatch transfer_timer;
+  RR_ASSIGN_OR_RETURN(const Bytes staged, serde::ReadFrame(conn_));
+  timing_.transfer = transfer_timer.Elapsed();
+  return DeliverStaged(target, staged, place);
+}
+
+Result<MemoryRegion> KernelChannelReceiver::DeliverStaged(
+    Shim& target, ByteSpan staged, const RegionPlacer* place) {
+  if (staged.size() > UINT32_MAX) {
+    return InvalidArgumentError("frame exceeds 32-bit guest memory");
+  }
+  const auto length = static_cast<uint32_t>(staged.size());
+  const Stopwatch io_timer;
+  MemoryRegion delivered;
+  RegionGuard guard;  // as in ReceiveInto: only a fresh allocation is ours
+  if (place != nullptr) {
+    RR_ASSIGN_OR_RETURN(delivered, (*place)(length));
+  } else {
+    RR_ASSIGN_OR_RETURN(delivered, target.PrepareInput(length));
+    guard = RegionGuard(&target, delivered);
+  }
+  RR_RETURN_IF_ERROR(target.data().write_memory_host(staged, delivered.address));
+  timing_.wasm_io = io_timer.Elapsed();
   bytes_received_ += delivered.length;
   KernelBytesReceived().Inc(delivered.length);
   guard.Dismiss();
@@ -151,6 +177,104 @@ MakeKernelChannelPair() {
   RR_ASSIGN_OR_RETURN(auto pair, osal::ConnectedPair());
   return std::make_pair(KernelChannelSender::FromConnection(std::move(pair.first)),
                         KernelChannelReceiver::FromConnection(std::move(pair.second)));
+}
+
+Result<Bytes> PumpFrame(KernelChannelSender& sender,
+                        KernelChannelReceiver& receiver,
+                        const rr::BufferView& payload, TimePoint deadline) {
+  if (payload.size() > UINT32_MAX) {
+    return InvalidArgumentError("frame exceeds 32-bit guest memory");
+  }
+  sender.timing_ = {};
+  receiver.timing_ = {};
+  const Stopwatch transfer_timer;
+
+  // Send side: the length header and every payload chunk, gathered.
+  uint8_t header_out[8];
+  StoreLE<uint64_t>(header_out, payload.size());
+  std::vector<iovec> iov;
+  iov.reserve(payload.segment_count() + 1);
+  iov.push_back({header_out, sizeof(header_out)});
+  for (size_t i = 0; i < payload.segment_count(); ++i) {
+    const ByteSpan part = payload.segment(i);
+    if (!part.empty()) {
+      iov.push_back({const_cast<uint8_t*>(part.data()), part.size()});
+    }
+  }
+  size_t at = 0;  // first iovec not yet fully written
+
+  // Receive side: the length header, then the body into the shim buffer.
+  uint8_t header_in[8];
+  bool sized = false;
+  Bytes staged;
+  size_t got = 0;
+
+  const int out_fd = sender.conn_.fd();
+  const int in_fd = receiver.conn_.fd();
+  for (;;) {
+    bool progress = false;
+    if (at < iov.size()) {
+      msghdr msg{};
+      msg.msg_iov = iov.data() + at;
+      msg.msg_iovlen = std::min<size_t>(iov.size() - at, IOV_MAX);
+      const ssize_t n = ::sendmsg(out_fd, &msg, MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+          return ErrnoToStatus(errno, "sendmsg");
+        }
+      } else {
+        progress = true;
+        size_t written = static_cast<size_t>(n);
+        while (at < iov.size() && written >= iov[at].iov_len) {
+          written -= iov[at].iov_len;
+          ++at;
+        }
+        if (at < iov.size()) {
+          iov[at].iov_base = static_cast<uint8_t*>(iov[at].iov_base) + written;
+          iov[at].iov_len -= written;
+        }
+      }
+    }
+    const MutableByteSpan want =
+        sized ? MutableByteSpan(staged.data() + got, staged.size() - got)
+              : MutableByteSpan(header_in + got, sizeof(header_in) - got);
+    if (!want.empty()) {
+      const ssize_t n = ::recv(in_fd, want.data(), want.size(), MSG_DONTWAIT);
+      if (n == 0) {
+        return DataLossError("kernel channel peer closed mid-frame");
+      }
+      if (n < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+          return ErrnoToStatus(errno, "recv");
+        }
+      } else {
+        progress = true;
+        got += static_cast<size_t>(n);
+        if (!sized && got == sizeof(header_in)) {
+          const uint64_t length = LoadLE<uint64_t>(header_in);
+          if (length > UINT32_MAX) {
+            return DataLossError("frame header announces implausible size");
+          }
+          staged.resize(length);
+          sized = true;
+          got = 0;
+        }
+      }
+    }
+    const bool received = sized && got == staged.size();
+    if (received && at == iov.size()) break;
+    if (!progress) {
+      RR_RETURN_IF_ERROR(osal::WaitReadableOrWritable(
+          received ? -1 : in_fd, at < iov.size() ? out_fd : -1, deadline));
+    }
+  }
+
+  const Nanos wire = transfer_timer.Elapsed();
+  sender.timing_.transfer = wire;
+  receiver.timing_.transfer = wire;
+  sender.bytes_sent_ += payload.size();
+  KernelBytesSent().Inc(payload.size());
+  return staged;
 }
 
 }  // namespace rr::core

@@ -5,11 +5,14 @@
 
 #include <string>
 
+#include "common/clock.h"
 #include "core/shim.h"
 #include "osal/socket.h"
 #include "serde/framing.h"
 
 namespace rr::core {
+
+class KernelChannelReceiver;
 
 // Sender half, held by the source function's shim.
 class KernelChannelSender {
@@ -32,15 +35,15 @@ class KernelChannelSender {
   Status SendBytes(ByteSpan data);
   Status SendBytes(const rr::BufferView& payload);
 
-  // Arms SO_RCVTIMEO/SO_SNDTIMEO on the socket: a transfer whose peer makes
-  // no progress for `timeout` fails with kDeadlineExceeded instead of
-  // wedging the worker. Non-positive disarms.
-  Status SetWireDeadline(Nanos timeout) { return conn_.SetIoTimeouts(timeout); }
-
   uint64_t bytes_sent() const { return bytes_sent_; }
   const TransferTiming& last_timing() const { return timing_; }
 
  private:
+  friend Result<Bytes> PumpFrame(KernelChannelSender& sender,
+                                 KernelChannelReceiver& receiver,
+                                 const rr::BufferView& payload,
+                                 TimePoint deadline);
+
   explicit KernelChannelSender(osal::Connection conn) : conn_(std::move(conn)) {}
 
   osal::Connection conn_;
@@ -65,17 +68,26 @@ class KernelChannelReceiver {
                                    CopyMode mode = CopyMode::kShimStaging,
                                    const RegionPlacer* place = nullptr);
 
+  // Steps 5-6 alone, for a frame already received into a shim buffer
+  // (PumpFrame's result): allocate_memory (or `place`) + write_memory_host.
+  // Records the Wasm VM I/O time in last_timing().wasm_io; a failure leaves
+  // no freshly placed region behind.
+  Result<MemoryRegion> DeliverStaged(Shim& target, ByteSpan staged,
+                                     const RegionPlacer* place = nullptr);
+
   // Receive + run the target function.
   Result<InvokeOutcome> ReceiveAndInvoke(Shim& target,
                                          CopyMode mode = CopyMode::kShimStaging);
-
-  // As on the sender: bounds a stalled peer with kDeadlineExceeded.
-  Status SetWireDeadline(Nanos timeout) { return conn_.SetIoTimeouts(timeout); }
 
   uint64_t bytes_received() const { return bytes_received_; }
   const TransferTiming& last_timing() const { return timing_; }
 
  private:
+  friend Result<Bytes> PumpFrame(KernelChannelSender& sender,
+                                 KernelChannelReceiver& receiver,
+                                 const rr::BufferView& payload,
+                                 TimePoint deadline);
+
   explicit KernelChannelReceiver(osal::Connection conn) : conn_(std::move(conn)) {}
 
   osal::Connection conn_;
@@ -103,5 +115,27 @@ class KernelChannelListener {
 // still talk through a real AF_UNIX kernel buffer).
 Result<std::pair<KernelChannelSender, KernelChannelReceiver>>
 MakeKernelChannelPair();
+
+// Moves one frame carrying `payload` from `sender` to `receiver` on the
+// CALLING thread and returns the received payload, staged in a shim buffer
+// (the kShimStaging receive; DeliverStaged lands it in the target). This is
+// the kernel hop's wire phase: both ends of its socketpair live in this
+// process, so one thread drives both — no sender thread, no hand-off.
+//
+// The pump alternates non-blocking halves: sendmsg(MSG_DONTWAIT) whatever
+// the socket buffer takes, then recv(MSG_DONTWAIT) whatever has arrived,
+// and repeats. A frame that fits the socket buffer crosses in three
+// syscalls without ever blocking; a larger one streams through the buffer
+// in turns, so it cannot self-deadlock. Only when neither half made
+// progress does the pump poll() both descriptors, bounded by `deadline`:
+// an expiry is kDeadlineExceeded, a peer that shut down mid-frame is a
+// typed error (EOF → kDataLoss, EPIPE/ECONNRESET → their errno mapping).
+// Any failure leaves the pair out of frame sync — the caller must not send
+// another frame over it.
+//
+// Records the wire time as last_timing().transfer on both halves.
+Result<Bytes> PumpFrame(KernelChannelSender& sender,
+                        KernelChannelReceiver& receiver,
+                        const rr::BufferView& payload, TimePoint deadline);
 
 }  // namespace rr::core

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/log.h"
+#include "core/network_channel.h"
 #include "obs/metrics.h"
 #include "osal/socket.h"
 #include "resilience/fault_injector.h"
@@ -337,7 +338,11 @@ bool MuxClient::PumpLocked() {
       }
       out_.part_offset += static_cast<size_t>(n);
     }
-    out_ = OutFrame{};  // frame fully flushed
+    // Frame fully flushed: a data frame's body_ref holds its payload bytes,
+    // a control frame's is empty.
+    WireFramesSent().Inc();
+    WireBytesSent().Inc(out_.body_ref.size());
+    out_ = OutFrame{};
   }
 }
 

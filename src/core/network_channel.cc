@@ -8,24 +8,24 @@
 
 namespace rr::core {
 
-namespace {
-
 obs::Counter& WireBytesSent() {
   static obs::Counter* counter = obs::Registry::Get().counter(
       "rr_wire_bytes_sent_total", "Payload bytes sent over network channels");
   return *counter;
 }
 
+obs::Counter& WireFramesSent() {
+  static obs::Counter* counter = obs::Registry::Get().counter(
+      "rr_wire_frames_sent_total", "Frames sent over network channels");
+  return *counter;
+}
+
+namespace {
+
 obs::Counter& WireBytesReceived() {
   static obs::Counter* counter = obs::Registry::Get().counter(
       "rr_wire_bytes_received_total",
       "Payload bytes received over network channels");
-  return *counter;
-}
-
-obs::Counter& WireFramesSent() {
-  static obs::Counter* counter = obs::Registry::Get().counter(
-      "rr_wire_frames_sent_total", "Frames sent over network channels");
   return *counter;
 }
 

@@ -43,11 +43,21 @@
 
 #include "core/region_guard.h"
 #include "core/shim.h"
+#include "obs/metrics.h"
 #include "osal/pipe.h"
 #include "osal/socket.h"
 #include "osal/splice.h"
 
 namespace rr::core {
+
+// Sender-side wire traffic of BOTH agent dialects, one family each: the
+// legacy channel counts a frame once its delivery ack is in, the mux client
+// (mux_client.h) each frame it has fully flushed to the socket — data,
+// open and cancel frames alike. Bytes are payload (DATA) bytes only, never
+// framing. Agent completion frames travel the other way and are counted
+// in rr_agent_completion_frames_total alone.
+obs::Counter& WireFramesSent();
+obs::Counter& WireBytesSent();
 
 // The virtual data hose: a pipe plus the splice plumbing, with a plain
 // read/write fallback when the syscalls are unavailable.

@@ -1,7 +1,7 @@
 #include "core/transport.h"
 
 #include "common/mutex.h"
-#include <optional>
+#include <atomic>
 #include <thread>
 
 #include <map>
@@ -45,24 +45,6 @@ RegionPlacer SlicePlacer(const MemoryRegion into) {
     }
     return into;
   };
-}
-
-// Wire transfer of a host-resident payload: the sender streams the shared
-// chunks (no source shim involvement — egress already happened at
-// materialization) while the receiver delivers into the target's memory.
-// Send and receive run concurrently so a payload larger than the kernel
-// socket buffer cannot self-deadlock.
-template <typename SendFn, typename Receiver>
-Result<MemoryRegion> WireTransfer(SendFn&& send, Receiver&& receive,
-                                  TransferTiming* timing,
-                                  const TransferTiming& egress) {
-  Status send_status;
-  std::thread send_thread([&] { send_status = send(); });
-  auto delivered = receive();
-  send_thread.join();
-  RR_RETURN_IF_ERROR(send_status);
-  if (delivered.ok() && timing != nullptr) *timing += egress;
-  return delivered;
 }
 
 // --- user space -------------------------------------------------------------
@@ -123,12 +105,27 @@ class UserSpaceTransport : public Transport {
 };
 
 // --- kernel space -----------------------------------------------------------
+// Both ends of the hop's AF_UNIX socketpair live in this process, so the
+// forwarding thread moves the frame itself (PumpFrame): no sender thread, no
+// hand-off. The paper's staging pattern is kept: the payload is read out of
+// the source (Materialize, wasm_io), crosses the kernel into a shim buffer
+// (transfer), and write_memory_host lands it in the target (wasm_io).
 class KernelHop : public Hop {
  public:
-  KernelHop(KernelChannelSender sender, KernelChannelReceiver receiver)
-      : sender_(std::move(sender)), receiver_(std::move(receiver)) {}
+  KernelHop(KernelChannelSender sender, KernelChannelReceiver receiver,
+            Nanos transfer_deadline)
+      : sender_(std::move(sender)),
+        receiver_(std::move(receiver)),
+        transfer_deadline_(transfer_deadline) {}
 
   TransferMode mode() const override { return TransferMode::kKernelSpace; }
+
+  // False once a transfer died with its frame part-way across: the pair is
+  // out of frame sync, so the executor evicts the hop and the next transfer
+  // connects a fresh socketpair.
+  bool healthy() const override {
+    return wire_ok_.load(std::memory_order_relaxed);
+  }
 
   Result<MemoryRegion> Forward(const Payload& payload, Shim& target,
                                TransferTiming* timing,
@@ -139,18 +136,22 @@ class KernelHop : public Hop {
     RR_ASSIGN_OR_RETURN(const rr::Buffer buffer,
                         payload.Materialize(&egress.wasm_io));
     MutexLock hop_lock(mutex_);
+    if (!healthy()) {
+      return UnavailableError("kernel hop lost frame sync; awaiting eviction");
+    }
+    auto staged = PumpFrame(sender_, receiver_, rr::BufferView(buffer),
+                            osal::DeadlineAfter(transfer_deadline_));
+    if (!staged.ok()) {
+      wire_ok_.store(false, std::memory_order_relaxed);
+      return staged.status();
+    }
+    // The target's memory plane is locked only to land the received frame.
     MutexLock target_lock(target.exec_mutex());
     const RegionPlacer placer = into != nullptr ? SlicePlacer(*into) : nullptr;
-    const rr::BufferView view(buffer);
-    auto delivered = WireTransfer(
-        [&] { return sender_.SendBytes(view); },
-        [&] {
-          return receiver_.ReceiveInto(target, CopyMode::kShimStaging,
-                                       into != nullptr ? &placer : nullptr);
-        },
-        timing, egress);
+    auto delivered = receiver_.DeliverStaged(
+        target, *staged, into != nullptr ? &placer : nullptr);
     if (delivered.ok() && timing != nullptr) {
-      *timing += sender_.last_timing();
+      *timing += egress;
       *timing += receiver_.last_timing();
     }
     return delivered;
@@ -160,6 +161,8 @@ class KernelHop : public Hop {
   Mutex mutex_;  // serializes concurrent transfers over this pair's wire
   KernelChannelSender sender_;
   KernelChannelReceiver receiver_;
+  const Nanos transfer_deadline_;  // absolute bound on one frame's pump
+  std::atomic<bool> wire_ok_{true};
 };
 
 class KernelTransport : public Transport {
@@ -170,10 +173,9 @@ class KernelTransport : public Transport {
                                        const Endpoint& /*target*/,
                                        const TransportOptions& options) override {
     RR_ASSIGN_OR_RETURN(auto pair, MakeKernelChannelPair());
-    RR_RETURN_IF_ERROR(pair.first.SetWireDeadline(options.transfer_deadline));
-    RR_RETURN_IF_ERROR(pair.second.SetWireDeadline(options.transfer_deadline));
-    return std::unique_ptr<Hop>(
-        new KernelHop(std::move(pair.first), std::move(pair.second)));
+    return std::unique_ptr<Hop>(new KernelHop(
+        std::move(pair.first), std::move(pair.second),
+        options.transfer_deadline));
   }
 };
 
@@ -182,6 +184,12 @@ class KernelTransport : public Transport {
 // (target port 0) holds both channel halves in-process and behaves like a
 // kernel hop over TCP; an agent hop (port != 0) holds just the sender — the
 // remote NodeAgent owns receive + invoke (§4.3, Algorithm 1).
+//
+// Unlike the kernel hop, the loopback hop still sends on a second thread:
+// its sender streams the body through the vmsplice hose and then BLOCKS on
+// the receiver's delivery ack, so one thread could only drive it with a
+// send/splice/ack state machine. Send and receive run concurrently, which
+// also keeps a payload larger than the socket buffer from self-deadlocking.
 class NetworkLoopbackHop : public Hop {
  public:
   NetworkLoopbackHop(NetworkChannelSender sender, NetworkChannelReceiver receiver)
@@ -200,15 +208,16 @@ class NetworkLoopbackHop : public Hop {
     MutexLock target_lock(target.exec_mutex());
     const RegionPlacer placer = into != nullptr ? SlicePlacer(*into) : nullptr;
     const rr::BufferView view(buffer);
-    auto delivered = WireTransfer(
-        [&] { return sender_.SendBuffer(view); },
-        [&] {
-          return receiver_.ReceiveInto(target, CopyMode::kShimStaging,
-                                       /*token=*/nullptr,
-                                       into != nullptr ? &placer : nullptr);
-        },
-        timing, egress);
+    Status send_status;
+    std::thread send_thread([&] { send_status = sender_.SendBuffer(view); });
+    auto delivered =
+        receiver_.ReceiveInto(target, CopyMode::kShimStaging,
+                              /*token=*/nullptr,
+                              into != nullptr ? &placer : nullptr);
+    send_thread.join();
+    RR_RETURN_IF_ERROR(send_status);
     if (delivered.ok() && timing != nullptr) {
+      *timing += egress;
       *timing += sender_.last_timing();
       *timing += receiver_.last_timing();
     }

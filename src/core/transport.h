@@ -34,16 +34,15 @@ namespace rr::core {
 // them once for every channel of a workflow.
 struct TransportOptions {
   // Bound on one transfer's blocking waits (header/body/ack on the network
-  // plane; peer-idle timeout on the kernel plane). A dead or stalled peer
+  // plane; the frame pump on the kernel plane). A dead or stalled peer
   // surfaces as kDeadlineExceeded within this bound instead of hanging the
   // transfer. Non-positive = unbounded.
   //
-  // On the network plane this is an ABSOLUTE per-transfer bound, armed at
-  // frame start — not a progress bound like the kernel plane's socket
-  // timeouts. Size it to the largest frame you expect over the slowest
-  // link (a multi-GiB frame over a slow WAN legitimately takes minutes);
-  // the 30 s default comfortably covers paper-scale payloads on the
-  // emulated 100 Mbps testbed.
+  // On both planes this is an ABSOLUTE per-transfer bound, armed at frame
+  // start — not a progress bound. Size it to the largest frame you expect
+  // over the slowest link (a multi-GiB frame over a slow WAN legitimately
+  // takes minutes); the 30 s default comfortably covers paper-scale
+  // payloads on the emulated 100 Mbps testbed.
   Nanos transfer_deadline = std::chrono::seconds(30);
 
   // Which dialect agent-bound hops speak. kMux (default): one multiplexed

@@ -47,7 +47,7 @@ Status DagScheduler::Run(const Dag& dag, const NodeFn& fn) {
 
   MutexLock lock(mutex_);
   for (const size_t source : dag.sources()) {
-    queue_.emplace_back(&state, source);
+    queue_.push_back({&state, source});
     // One wakeup per enqueued item: notify_all would stampede the whole
     // pool through the mutex for a run that may have a single source.
     work_cv_.notify_one();
@@ -58,7 +58,7 @@ Status DagScheduler::Run(const Dag& dag, const NodeFn& fn) {
   // A validated Dag is non-empty, so outstanding starts > 0 and reaches 0
   // exactly when every reachable (non-cancelled) node has finished —
   // deferred nodes included, their Tickets being what decrements it.
-  done_cv_.wait(lock, [this, &state]() RR_REQUIRES(mutex_) {
+  state.done_cv.wait(lock, [this, &state]() RR_REQUIRES(mutex_) {
     return state.outstanding == 0;
   });
   return state.first_error;
@@ -66,14 +66,19 @@ Status DagScheduler::Run(const Dag& dag, const NodeFn& fn) {
 
 void DagScheduler::WorkerLoop() {
   MutexLock lock(mutex_);
+  Work next;  // a successor kept by the previous retirement, if any
   for (;;) {
-    work_cv_.wait(lock, [this]() RR_REQUIRES(mutex_) {
-      return stopping_ || !queue_.empty();
-    });
-    if (stopping_) return;
-    auto [state, node] = queue_.front();
-    queue_.pop_front();
-    QueueDepth().Set(static_cast<int64_t>(queue_.size()));
+    if (next.state == nullptr) {
+      work_cv_.wait(lock, [this]() RR_REQUIRES(mutex_) {
+        return stopping_ || !queue_.empty();
+      });
+      if (stopping_) return;
+      next = queue_.front();
+      queue_.pop_front();
+      QueueDepth().Set(static_cast<int64_t>(queue_.size()));
+    }
+    const auto [state, node] = next;
+    next = Work{};
 
     Status status;
     bool deferred = false;
@@ -97,11 +102,12 @@ void DagScheduler::WorkerLoop() {
     // another thread, in which case the run may be GONE: state must not be
     // touched past this point.
     if (deferred) continue;
-    RetireLocked(state, node, std::move(status));
+    RetireLocked(state, node, std::move(status), &next);
   }
 }
 
-void DagScheduler::RetireLocked(RunState* state, size_t node, Status status) {
+void DagScheduler::RetireLocked(RunState* state, size_t node, Status status,
+                                Work* keep) {
   if (!status.ok()) {
     if (state->first_error.ok()) {
       state->first_error =
@@ -111,20 +117,22 @@ void DagScheduler::RetireLocked(RunState* state, size_t node, Status status) {
     state->cancelled = true;
   } else if (!state->cancelled) {
     for (const size_t succ : state->dag->node(node).succs) {
-      if (--state->remaining_preds[succ] == 0) {
-        queue_.emplace_back(state, succ);
-        ++state->outstanding;
-        // The retiring worker keeps draining without a wakeup (its wait
-        // predicate sees the non-empty queue), so one notify per NEW item is
-        // enough to engage exactly as many extra workers as there is work.
-        work_cv_.notify_one();
+      if (--state->remaining_preds[succ] != 0) continue;
+      ++state->outstanding;
+      if (keep != nullptr && keep->state == nullptr) {
+        *keep = Work{state, succ};  // the retiring worker runs it next
+        continue;
       }
+      queue_.push_back({state, succ});
+      // One notify per queued item engages exactly as many extra workers as
+      // there is extra work.
+      work_cv_.notify_one();
     }
     QueueDepth().Set(static_cast<int64_t>(queue_.size()));
   }
-  if (--state->outstanding == 0) {
-    done_cv_.notify_all();
-  }
+  // Notified under mutex_: the caller cannot observe outstanding == 0 and
+  // destroy the run (and its condition variable) before this returns.
+  if (--state->outstanding == 0) state->done_cv.notify_one();
 }
 
 void DagScheduler::Ticket::Complete(Status status) {
@@ -132,7 +140,8 @@ void DagScheduler::Ticket::Complete(Status status) {
   if (slot == nullptr || slot->completed.exchange(true)) return;
   DagScheduler* const scheduler = slot->scheduler;
   MutexLock lock(scheduler->mutex_);
-  scheduler->RetireLocked(slot->state, slot->node, std::move(status));
+  scheduler->RetireLocked(slot->state, slot->node, std::move(status),
+                          /*keep=*/nullptr);
 }
 
 }  // namespace rr::dag

@@ -1,15 +1,29 @@
 // DagScheduler: dependency-ordered dispatch onto a fixed worker pool.
 //
 // A node becomes ready when every predecessor completed successfully; ready
-// nodes are dispatched to the pool in topological wavefronts, so independent
-// branches (fan-out replicas, parallel pipelines) execute concurrently while
-// joins wait for all of their inputs. The pool is fixed at construction:
-// workflow width never translates into unbounded thread creation.
+// nodes run on the pool, so independent branches (fan-out replicas, parallel
+// pipelines) execute concurrently while joins wait for all of their inputs.
+// The pool is fixed at construction: workflow width never translates into
+// unbounded thread creation.
 //
 // Run is reentrant: any number of concurrent runs (api::Runtime keeps many
 // invocations in flight) share the one pool, their ready nodes interleaved
 // in one queue. Each run's bookkeeping lives on its caller's stack, so runs
 // never contend on anything but the queue lock.
+//
+// Wake-up rules — a thread is woken only when there is work for it:
+//  * Keep one successor. A worker whose node returns synchronously keeps ONE
+//    newly-ready successor and runs it next in its own loop (not by
+//    recursion, so a 10,000-node chain costs no stack). A chain of
+//    synchronous nodes therefore runs start to finish on one worker with no
+//    queue round-trip and no wake-up between its nodes.
+//  * One notify per queued item. Every further newly-ready successor is
+//    queued with exactly one notify_one, so a fan-out engages as many extra
+//    workers as it has extra branches — parallelism is unchanged — and never
+//    stampedes the whole pool through the lock.
+//  * A per-run completion signal. Each run has its own condition variable;
+//    the retirement that finishes a run wakes only that run's Run() caller,
+//    not every driver parked on the scheduler.
 //
 // Nodes may complete ASYNCHRONOUSLY: a node task whose work finishes
 // elsewhere (a remote dispatch whose outcome arrives as a completion frame)
@@ -17,9 +31,11 @@
 // moves on to other nodes while the deferred node stays outstanding. Whoever
 // finishes the work completes the returned Ticket with the node's final
 // status, which runs the exact bookkeeping a synchronous return would have
-// (successor release, cancellation, run completion). This is what lets a
-// fixed pool carry tens of thousands of in-flight remote edges: a parked
-// node costs a map entry, not a parked thread.
+// (successor release, cancellation, run completion) — except that a Ticket
+// keeps no successor: it runs on reactor and sweeper threads, which must
+// not execute node tasks, so every successor it releases is queued for the
+// pool. This is what lets a fixed pool carry tens of thousands of in-flight
+// remote edges: a parked node costs a map entry, not a parked thread.
 #pragma once
 
 #include <atomic>
@@ -102,31 +118,40 @@ class DagScheduler {
 
  private:
   // Bookkeeping of one Run, stack-allocated by the caller; workers and
-  // Tickets reach it through the queue entries / ticket slots, which never
-  // outlive the Run (outstanding counts them). Guarded by mutex_.
+  // Tickets reach it through the queue entries / ticket slots / a worker's
+  // kept successor, which never outlive the Run (outstanding counts them).
+  // Guarded by mutex_.
   struct RunState {
     const Dag* dag = nullptr;
     const NodeFn* fn = nullptr;
     std::vector<size_t> remaining_preds;
-    size_t outstanding = 0;  // queued + executing + deferred nodes
+    size_t outstanding = 0;  // queued + kept + executing + deferred nodes
     bool cancelled = false;
     Status first_error;
+    CondVar done_cv;  // signalled once, when outstanding reaches 0
+  };
+
+  // One ready node of one run.
+  struct Work {
+    RunState* state = nullptr;
+    size_t node = 0;
   };
 
   void WorkerLoop();
   // Shared retirement bookkeeping (mutex_ held): records a failure (first
-  // error wins, cancelling the run), enqueues a success's newly-ready
-  // successors, and completes the run when the last outstanding node
-  // retires. Reached from WorkerLoop (synchronous returns) and from
-  // Ticket::Complete (deferred nodes).
-  void RetireLocked(RunState* state, size_t node, Status status)
+  // error wins, cancelling the run), releases a success's newly-ready
+  // successors, and wakes the run's caller when its last outstanding node
+  // retires. With `keep` non-null the first released successor is handed
+  // back through it instead of being queued (WorkerLoop runs it next);
+  // the rest are queued. Reached from WorkerLoop (synchronous returns) and
+  // from Ticket::Complete (deferred nodes, keep == nullptr).
+  void RetireLocked(RunState* state, size_t node, Status status, Work* keep)
       RR_REQUIRES(mutex_);
 
   Mutex mutex_;
   CondVar work_cv_;
-  CondVar done_cv_;
   bool stopping_ RR_GUARDED_BY(mutex_) = false;
-  std::deque<std::pair<RunState*, size_t>> queue_ RR_GUARDED_BY(mutex_);
+  std::deque<Work> queue_ RR_GUARDED_BY(mutex_);
 
   std::vector<std::thread> workers_;
 };

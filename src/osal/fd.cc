@@ -9,8 +9,8 @@ namespace rr::osal {
 namespace {
 
 // These helpers serve blocking descriptors, where EAGAIN has exactly one
-// source: an armed SO_RCVTIMEO/SO_SNDTIMEO (Connection::SetIoTimeouts)
-// expired with the peer making no progress. That is a deadline, not a
+// source: an armed SO_RCVTIMEO/SO_SNDTIMEO expired with the peer making no
+// progress. That is a deadline, not a
 // generic unavailability.
 bool IsIoTimeout(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 

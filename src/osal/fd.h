@@ -45,8 +45,8 @@ class UniqueFd {
 };
 
 // Writes the entire span, retrying on EINTR and short writes. On a blocking
-// fd, EAGAIN can only mean an armed SO_SNDTIMEO expired (see
-// Connection::SetIoTimeouts) and surfaces as kDeadlineExceeded.
+// fd, EAGAIN can only mean an armed SO_SNDTIMEO expired and surfaces as
+// kDeadlineExceeded.
 Status WriteAll(int fd, ByteSpan data);
 
 // Reads exactly `out.size()` bytes; fails with kDataLoss on premature EOF

@@ -14,7 +14,10 @@ namespace rr::osal {
 
 namespace {
 
-Status WaitEvent(int fd, short events, TimePoint deadline, const char* what) {
+// Polls `fds` (entries with a negative fd are ignored) until one is ready
+// or the deadline expires.
+Status WaitEvents(pollfd* fds, nfds_t count, TimePoint deadline,
+                  const char* what) {
   while (true) {
     int timeout_ms = -1;
     if (deadline != kNoDeadline) {
@@ -32,8 +35,7 @@ Status WaitEvent(int fd, short events, TimePoint deadline, const char* what) {
       timeout_ms = static_cast<int>(
           std::min<int64_t>(ms, std::numeric_limits<int>::max()));
     }
-    pollfd pfd{fd, events, 0};
-    const int n = ::poll(&pfd, 1, timeout_ms);
+    const int n = ::poll(fds, count, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       return ErrnoToStatus(errno, "poll");
@@ -46,11 +48,18 @@ Status WaitEvent(int fd, short events, TimePoint deadline, const char* what) {
 }  // namespace
 
 Status WaitReadable(int fd, TimePoint deadline) {
-  return WaitEvent(fd, POLLIN, deadline, "wait readable");
+  pollfd pfd{fd, POLLIN, 0};
+  return WaitEvents(&pfd, 1, deadline, "wait readable");
 }
 
 Status WaitWritable(int fd, TimePoint deadline) {
-  return WaitEvent(fd, POLLOUT, deadline, "wait writable");
+  pollfd pfd{fd, POLLOUT, 0};
+  return WaitEvents(&pfd, 1, deadline, "wait writable");
+}
+
+Status WaitReadableOrWritable(int read_fd, int write_fd, TimePoint deadline) {
+  pollfd pfds[2] = {{read_fd, POLLIN, 0}, {write_fd, POLLOUT, 0}};
+  return WaitEvents(pfds, 2, deadline, "wait readable or writable");
 }
 
 Status SetNonBlocking(int fd, bool enabled) {

@@ -41,6 +41,11 @@ inline TimePoint DeadlineAfter(Nanos timeout) {
 Status WaitReadable(int fd, TimePoint deadline);
 Status WaitWritable(int fd, TimePoint deadline);
 
+// Blocks until `read_fd` is readable OR `write_fd` is writable — the wait of
+// a single thread driving both ends of one transfer. A negative fd is left
+// out of the wait (that side has nothing more to do).
+Status WaitReadableOrWritable(int read_fd, int write_fd, TimePoint deadline);
+
 // Switches an fd's O_NONBLOCK flag. Event-loop descriptors (listener and
 // accepted connections of the epoll server) must never block the loop; their
 // I/O calls return EAGAIN instead and the loop re-arms for readiness.

@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -139,26 +138,6 @@ Result<size_t> Connection::ReceiveSome(MutableByteSpan out) {
 void Connection::SetNoDelay(bool enabled) {
   const int flag = enabled ? 1 : 0;
   (void)::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &flag, sizeof(flag));
-}
-
-Status Connection::SetIoTimeouts(Nanos timeout) {
-  timeval tv{};
-  if (timeout > Nanos{0}) {
-    const auto usec =
-        std::chrono::duration_cast<std::chrono::microseconds>(timeout);
-    tv.tv_sec = static_cast<time_t>(usec.count() / 1000000);
-    tv.tv_usec = static_cast<suseconds_t>(usec.count() % 1000000);
-    // Sub-microsecond timeouts round to the smallest armed value rather than
-    // the "disarmed" zero.
-    if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1;
-  }
-  if (::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
-    return ErrnoToStatus(errno, "setsockopt(SO_RCVTIMEO)");
-  }
-  if (::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    return ErrnoToStatus(errno, "setsockopt(SO_SNDTIMEO)");
-  }
-  return Status::Ok();
 }
 
 void Connection::ShutdownBoth() { ::shutdown(fd_.get(), SHUT_RDWR); }

@@ -51,14 +51,6 @@ class Connection {
   // Disables Nagle's algorithm (TCP only; no-op otherwise).
   void SetNoDelay(bool enabled);
 
-  // Arms SO_RCVTIMEO and SO_SNDTIMEO: a blocking read or send that makes no
-  // progress for `timeout` fails with kDeadlineExceeded (via the EAGAIN
-  // mapping in ReadExact/WriteAll). This is an *idle* bound — a peer
-  // trickling bytes resets it — which is exactly the belt the kernel-space
-  // channel wants on top of the wire plane's absolute per-transfer
-  // deadlines. Non-positive timeout disarms.
-  Status SetIoTimeouts(Nanos timeout);
-
   // Shuts down the write side, signalling EOF to the peer.
   Status ShutdownWrite();
 

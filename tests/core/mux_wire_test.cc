@@ -144,6 +144,49 @@ TEST(MuxWireTest, ConcurrentStreamsRoundTripWithCompletionFrames) {
   (*agent)->Shutdown();
 }
 
+TEST(MuxWireTest, FlushedFramesFeedTheWireCounters) {
+  auto agent = NodeAgent::Start(0);
+  ASSERT_TRUE(agent.ok()) << agent.status();
+  auto pool = MakePool("echo", [](ByteSpan input) -> Result<Bytes> {
+    return Bytes(input.begin(), input.end());
+  });
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  ASSERT_TRUE((*agent)->RegisterFunction(*pool).ok());
+  auto reactor = TestReactor();
+  ASSERT_NE(reactor, nullptr);
+  auto client = MuxClient::Create(reactor, "127.0.0.1", (*agent)->port());
+
+  obs::Counter* frames = obs::Registry::Get().counter("rr_wire_frames_sent_total");
+  obs::Counter* bytes = obs::Registry::Get().counter("rr_wire_bytes_sent_total");
+  ASSERT_NE(frames, nullptr);
+  ASSERT_NE(bytes, nullptr);
+  const uint64_t frames_before = frames->Value();
+  const uint64_t bytes_before = bytes->Value();
+
+  // Within the initial window, so no window update is needed: one open
+  // frame, then the body in kMuxMaxChunk quanta.
+  constexpr size_t kPayload = kMuxMaxChunk + kMuxMaxChunk / 2;
+  static_assert(kPayload <= kMuxInitialWindow);
+  Bytes payload(kPayload);
+  Rng rng(21);
+  rng.Fill(payload);
+  auto completion = std::make_shared<Completion>();
+  ASSERT_TRUE(client
+                  ->StartStream("echo", rr::Buffer::Adopt(std::move(payload)),
+                                /*token=*/1, kFailureBound,
+                                completion->Arm(completion))
+                  .ok());
+  ASSERT_TRUE(completion->WaitFor(kEventBound));
+  ASSERT_TRUE(completion->Get().ok()) << completion->Get();
+
+  // Every frame was flushed before the agent could complete the stream.
+  EXPECT_EQ(frames->Value() - frames_before, 3u);  // open + 2 DATA frames
+  EXPECT_EQ(bytes->Value() - bytes_before, kPayload);  // DATA payload only
+
+  client->Close();
+  (*agent)->Shutdown();
+}
+
 TEST(MuxWireTest, StreamFailureLeavesConcurrentStreamsUnharmed) {
   // Stream-fatal is not connection-fatal: one stream's handler rejection
   // rides back as an error completion frame while its neighbours — already
